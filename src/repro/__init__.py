@@ -56,7 +56,6 @@ from repro.partitioner import (
     partition_hypergraph,
     partition_multistart,
 )
-from repro.partitioner import kernel_info as kernels
 from repro.graph import Graph, partition_graph
 from repro.spmv import CommStats, communication_stats, simulate_spmv
 
@@ -81,7 +80,6 @@ __all__ = [
     "exact_bisection",
     "ReproFormatError",
     "fingerprint",
-    "kernels",
     "ExecutionPolicy",
     "ModelConfig",
     "PartitionerConfig",

@@ -17,26 +17,6 @@ models2d
 experiments
     Run the table2 sweep and write EXPERIMENTS.md with every measurement
     next to the paper's published value (see ``--output``).
-multistart
-    Benchmark the multi-start engine against the recorded pre-PR
-    sequential baseline and write BENCH_multistart.json.
-kernels
-    Microbenchmark the refinement/matching kernel tiers (python / flat /
-    jit) on a synthetic large-net instance — FM inner loop and HCM/HCC
-    matching, per-tier ops/sec and speedup with bit-identity hashes —
-    and write BENCH_kernels.json.  Exits 1 if any tier diverges from
-    the python reference.
-vcycle
-    End-to-end ``decompose()`` benchmark per kernel tier with a
-    telemetry phase breakdown (matching, coarse build, initial, FM,
-    K-way) — the Amdahl view the kernels microbench cannot give — and
-    write BENCH_vcycle.json.  ``--quick`` shrinks the instances to a CI
-    smoke.  Exits 1 if any tier's partition diverges from the python
-    reference.
-treeparallel
-    Benchmark zero-copy shm transport vs pickle and the tree-parallel
-    recursion across backends/worker counts (verifying bit-identity);
-    write BENCH_treeparallel.json.
 verify
     Differential replay: run the same decomposition across every
     execution backend (serial / thread / process, shm on/off, legacy vs
@@ -100,13 +80,11 @@ def _parse(argv):
         "command",
         choices=[
             "table1", "table2", "summary", "models2d", "experiments",
-            "multistart", "treeparallel", "verify", "serve", "kernels",
-            "vcycle", "exact", "chaos",
+            "verify", "serve", "exact", "chaos",
         ],
     )
     p.add_argument("--quick", action="store_true",
-                   help="vcycle/chaos commands: small instances / reduced "
-                        "load (CI smoke)")
+                   help="chaos command: reduced load (CI smoke)")
     p.add_argument("--output", default="EXPERIMENTS.md",
                    help="output path for the experiments command")
     p.add_argument("--export", default=None,
@@ -121,9 +99,9 @@ def _parse(argv):
     p.add_argument("--epsilon", type=float, default=0.03)
     p.add_argument("--matrix-seed", type=int, default=0)
     p.add_argument("--starts", type=int, default=4,
-                   help="multistart command: engine starts per instance")
+                   help="verify command: engine starts per replayed run")
     p.add_argument("--workers", type=int, default=4,
-                   help="multistart command: process-backend workers")
+                   help="verify/serve/chaos commands: worker processes")
     p.add_argument("--profile", action="store_true",
                    help="record telemetry and print a per-phase time "
                         "breakdown for every instance")
@@ -183,73 +161,6 @@ def _write_profile_json(results, path: str) -> None:
 def main(argv=None) -> int:
     """Entry point; returns a process exit code."""
     args = _parse(argv if argv is not None else sys.argv[1:])
-
-    if args.command == "multistart":
-        from repro.bench.multistart import run_multistart_bench, write_multistart_bench
-
-        doc = run_multistart_bench(
-            n_starts=args.starts,
-            n_workers=args.workers,
-            progress=lambda s: print(f"  {s}", file=sys.stderr),
-        )
-        path = args.output if args.output != "EXPERIMENTS.md" else "BENCH_multistart.json"
-        write_multistart_bench(path, doc)
-        print(f"wrote {path}")
-        return 0
-
-    if args.command == "kernels":
-        from repro.bench.kernels import run_kernels_bench, write_kernels_bench
-
-        doc = run_kernels_bench(
-            repeats=args.seeds,
-            progress=lambda s: print(f"  {s}", file=sys.stderr),
-        )
-        path = args.output if args.output != "EXPERIMENTS.md" else "BENCH_kernels.json"
-        write_kernels_bench(path, doc)
-        print(f"wrote {path}")
-        summary = doc["summary"]
-        print(
-            f"best FM speedup vs python: x{summary['best_fm_speedup']} "
-            f"(bit-identical: {summary['all_bit_identical']})"
-        )
-        return 0 if summary["all_bit_identical"] else 1
-
-    if args.command == "vcycle":
-        from repro.bench.vcycle import run_vcycle_bench, write_vcycle_bench
-
-        doc = run_vcycle_bench(
-            repeats=args.seeds,
-            quick=args.quick,
-            progress=lambda s: print(f"  {s}", file=sys.stderr),
-        )
-        path = args.output if args.output != "EXPERIMENTS.md" else "BENCH_vcycle.json"
-        write_vcycle_bench(path, doc)
-        print(f"wrote {path}")
-        summary = doc["summary"]
-        print(
-            f"e2e speedup vs python: {summary['e2e_speedup_by_instance']} "
-            f"(bit-identical: {summary['all_bit_identical']})"
-        )
-        return 0 if summary["all_bit_identical"] else 1
-
-    if args.command == "treeparallel":
-        from repro.bench.treeparallel import (
-            run_treeparallel_bench,
-            write_treeparallel_bench,
-        )
-
-        doc = run_treeparallel_bench(
-            n_starts=args.starts,
-            n_workers=args.workers,
-            progress=lambda s: print(f"  {s}", file=sys.stderr),
-        )
-        path = (
-            args.output if args.output != "EXPERIMENTS.md"
-            else "BENCH_treeparallel.json"
-        )
-        write_treeparallel_bench(path, doc)
-        print(f"wrote {path}")
-        return 0
 
     if args.command == "serve":
         from repro.bench.serve import run_serve_bench, write_serve_bench

@@ -51,6 +51,7 @@ from repro.models import (
     decompose_2d_mondriaan,
 )
 from repro.partitioner import PartitionerConfig
+from repro.partitioner.config import KERNELS
 from repro.spmv import communication_stats, simulate_spmv
 
 __all__ = ["main", "load_matrix_arg"]
@@ -117,12 +118,10 @@ def _parse(argv):
                     help="seed-tree recursion: schedule the two sides of "
                          "every bisection over the worker budget "
                          "(bit-identical at any worker count)")
-    pp.add_argument("--kernel", choices=["auto", "python", "flat", "jit"],
-                    default=None,
-                    help="refinement/matching implementation tier "
-                         "(bit-identical; unavailable tiers fall back "
-                         "jit -> flat -> python; default: REPRO_KERNEL "
-                         "or python)")
+    pp.add_argument("--kernel", choices=list(KERNELS), default=None,
+                    help="V-cycle implementation tier: flat (production) "
+                         "or python (the reference oracle); bit-identical "
+                         "either way (default: REPRO_KERNEL or flat)")
     pp.add_argument("--output", default=None,
                     help="write ownership arrays (and the model partition, "
                          "when the model has one) to this .npz file")
@@ -174,8 +173,7 @@ def _parse(argv):
     pa.add_argument("--starts", type=int, default=1)
     pa.add_argument("--workers", type=int, default=1)
     pa.add_argument("--tree-parallel", action="store_true")
-    pa.add_argument("--kernel", choices=["auto", "python", "flat", "jit"],
-                    default=None)
+    pa.add_argument("--kernel", choices=list(KERNELS), default=None)
 
     pf = sub.add_parser(
         "profile", help="trace a decomposition + simulated SpMV end to end"
@@ -188,8 +186,7 @@ def _parse(argv):
     pf.add_argument("--starts", type=int, default=1)
     pf.add_argument("--workers", type=int, default=1)
     pf.add_argument("--tree-parallel", action="store_true")
-    pf.add_argument("--kernel", choices=["auto", "python", "flat", "jit"],
-                    default=None)
+    pf.add_argument("--kernel", choices=list(KERNELS), default=None)
     pf.add_argument("--depth", type=int, default=4,
                     help="maximum span-tree depth to print")
     pf.add_argument("--trace", default=None,

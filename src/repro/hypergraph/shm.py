@@ -3,8 +3,8 @@
 The multi-start engine's process backend used to pickle the whole
 :class:`~repro.hypergraph.hypergraph.Hypergraph` into every task — on a
 one-copy-per-start protocol the serialization alone can cost more than the
-partitioning it buys (the PR-2 ``BENCH_multistart.json`` records the
-process backend *losing* to serial for exactly this reason).  This module
+partitioning it buys (the process backend measured *losing* to serial
+for exactly this reason before shm transport).  This module
 packs all CSR arrays of a hypergraph into one
 :class:`multiprocessing.shared_memory.SharedMemory` segment so that a task
 ships only the segment *name* plus a table of (offset, dtype, length)

@@ -31,7 +31,6 @@ from repro.partitioner.config import (
 )
 from repro.partitioner.driver import PartitionResult, partition_hypergraph
 from repro.partitioner.engine import StartStat, partition_multistart
-from repro.partitioner.kernels import kernel_info, resolve_kernel
 from repro.partitioner.pool import TreeScheduler, WorkerBudget
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "StartStat",
     "TreeScheduler",
     "WorkerBudget",
-    "kernel_info",
     "partition_hypergraph",
     "partition_multistart",
-    "resolve_kernel",
 ]

@@ -27,20 +27,6 @@ from repro.telemetry import get_recorder
 
 __all__ = ["match_vertices", "build_coarse", "coarsen_level", "CoarseLevel", "coarsen"]
 
-#: expansion budget (expanded candidate pins) per scoring chunk of the
-#: vectorized matcher.  Chunks are cut by expected expansion work rather
-#: than vertex count: larger budgets amortize numpy call overhead, smaller
-#: ones waste less scoring on vertices that get absorbed into a cluster
-#: mid-chunk.  Dense instances (big nets) therefore get short chunks
-#: automatically, sparse ones long.
-_SCORE_BUDGET = 100_000
-
-#: below this pin count the scalar matching/contraction loops win: numpy
-#: call overhead dominates batched passes on the small sub-hypergraphs of
-#: deep recursive bisection.  Both paths are bit-identical, so the switch
-#: point affects speed only, never results.
-_VECTOR_MIN_PINS = 100_000
-
 #: within the scalar matcher, a single vertex whose scoring expansion
 #: (pins behind its eligible nets) reaches this many entries gets a
 #: one-vertex batched pass instead of the per-pin loop.  Dense rows/columns
@@ -48,8 +34,10 @@ _VECTOR_MIN_PINS = 100_000
 #: vertex is already known to be unclustered.
 _VERTEX_VECTOR_MIN = 3000
 
-#: like :data:`_VECTOR_MIN_PINS` but for the coarse-build contraction,
-#: whose vectorized dedup pays off earlier than the matcher's
+#: below this pin count the coarse-build contraction takes the scalar
+#: dedup loop: numpy call overhead dominates batched passes on the small
+#: sub-hypergraphs of deep recursive bisection.  Both paths are
+#: bit-identical, so the switch point affects speed only, never results.
 _VECTOR_MIN_PINS_BUILD = 100_000
 
 #: below this pin count the flat build tier routes to the per-net
@@ -70,7 +58,7 @@ def _argsort_ids(keys: np.ndarray, hi: int) -> np.ndarray:
     (an int64 stable argsort measures ~6x slower at the same length), so
     wider ids sort low-half then high-half: two stable passes over
     subkeys compose into one stable sort of the full key.  Ids here are
-    vertex/chunk indices, always < 2**32.
+    vertex indices, always < 2**32.
     """
     if hi <= (1 << 16):
         return np.argsort(keys.astype(np.uint16), kind="stable")
@@ -108,91 +96,6 @@ def _score_aux(
     return h._view(f"score_aux_{max_net_size}", make)
 
 
-def _chunk_candidates(
-    chunk: np.ndarray,
-    nv: int,
-    xnets: np.ndarray,
-    vnets: np.ndarray,
-    xpins: np.ndarray,
-    pins: np.ndarray,
-    valid: np.ndarray,
-    sizes: np.ndarray,
-    net_score: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched match scoring for the vertices of one permutation chunk.
-
-    Returns ``(offsets, cand, pin_total)`` indexed by position within
-    *chunk*: ``cand[offsets[j]:offsets[j+1]]`` are the distinct neighbours
-    of ``chunk[j]`` through scoring-eligible nets, ordered by descending
-    summed ``c_n / (|n| - 1)`` connectivity score (first-encounter order on
-    ties), and ``pin_total[j]`` the pins the scalar loop would have visited.
-
-    Equivalence contract with the scalar scoring loop: nets expand in
-    ascending id order and pins in storage order, candidates keep their
-    first-encounter order, and per-candidate scores accumulate strictly
-    left-to-right in that order (``np.bincount`` adds weights
-    sequentially over its input), so float sums and every downstream
-    tie-break are bit-identical.
-    """
-    m = len(chunk)
-    empty = (
-        np.zeros(m + 1, dtype=INDEX_DTYPE),
-        np.empty(0, dtype=INDEX_DTYPE),
-        np.zeros(m, dtype=INDEX_DTYPE),
-    )
-    deg = xnets[chunk + 1] - xnets[chunk]
-    if int(deg.sum()) == 0:
-        return empty
-    local = np.repeat(np.arange(m, dtype=INDEX_DTYPE), deg)
-    ns = vnets[multi_arange(xnets[chunk], deg)]
-    ok = valid[ns]
-    ns, local = ns[ok], local[ok]
-    if len(ns) == 0:
-        return empty
-    cnt = sizes[ns]
-    pin_total = np.bincount(local, weights=cnt, minlength=m).astype(INDEX_DTYPE)
-    owner_local = np.repeat(local, cnt)
-    owner = chunk[owner_local]
-    cand = pins[multi_arange(xpins[ns], cnt)]
-    scs = np.repeat(net_score[ns], cnt)
-    keep = cand != owner
-    cand, scs, owner_local = cand[keep], scs[keep], owner_local[keep]
-    if len(cand) == 0:
-        return empty[0], empty[1], pin_total
-
-    # group by (chunk position, candidate); two stable sorts — by
-    # candidate, then by chunk position — equal one stable sort by the
-    # (position, candidate) pair, and :func:`_argsort_ids` runs every
-    # pass as a uint16 radix sort (O(n)).  Stability keeps duplicate
-    # pairs in net order so the sequential accumulation below reproduces
-    # the scalar float accumulation exactly.
-    s1 = _argsort_ids(cand, nv)
-    ol = owner_local[s1]
-    perm = s1[_argsort_ids(ol, m)]
-    oo = owner_local[perm]
-    co = cand[perm]
-    boundary = np.r_[True, (oo[1:] != oo[:-1]) | (co[1:] != co[:-1])]
-    grp = np.flatnonzero(boundary)
-    gid = np.cumsum(boundary) - 1
-    # bincount accumulates weights left-to-right like the unbuffered
-    # np.add.at, an order of magnitude faster; float sums are identical
-    score = np.bincount(gid, weights=scs[perm], minlength=len(grp))
-    pair_local = oo[grp].astype(INDEX_DTYPE)
-    pair_u = co[grp].astype(INDEX_DTYPE)
-    first_idx = perm[grp]  # stable sort -> first element is min original index
-
-    # Within each chunk vertex, order candidates by descending score, ties
-    # broken by first encounter.  The scalar loop keeps the first strictly
-    # greater score while scanning in encounter order, and its feasibility
-    # checks read cluster state that cannot change mid-scan, so "max score
-    # among feasible, earliest encounter on ties" is exactly "first
-    # feasible in this order" -- letting the greedy pass stop at the first
-    # candidate that passes the constraint checks instead of walking all.
-    order = np.lexsort((first_idx, -score, pair_local))
-    offsets = prefix_from_counts(np.bincount(pair_local, minlength=m))
-    return offsets, pair_u[order], pin_total
-
-
 def match_vertices(
     h: Hypergraph,
     rng: np.random.Generator,
@@ -216,18 +119,11 @@ def match_vertices(
     *kernel* picks the implementation tier (see
     :mod:`repro.partitioner.kernels`): ``"python"`` is the pure reference
     loop (the differential-testing oracle — one interpreted comparison
-    per pin, no batching); ``"flat"`` is the adaptive tier: above
-    :data:`_VECTOR_MIN_PINS` pins the per-pin scoring runs as
-    numpy-batched passes over the CSR pin arrays, one permutation-order
-    chunk at a time (scores depend only on the hypergraph, never on
-    cluster state, so batching ahead of the greedy selection is exact),
-    below it the scalar loop runs with one-vertex batching of dense
-    scoring expansions — the greedy selection itself always stays
-    sequential, preserving the classic HCM/HCC semantics bit for bit.
-    ``"jit"`` runs the numba-compiled scalar loop.  All tiers produce
-    identical output; the gates were placed by measurement (chunked
-    scoring loses below a few hundred thousand pins — see
-    docs/performance.md).
+    per pin, no batching); ``"flat"`` runs the scalar loop with
+    one-vertex batching of dense scoring expansions
+    (:data:`_VERTEX_VECTOR_MIN`).  The greedy selection always stays
+    sequential, preserving the classic HCM/HCC semantics bit for bit, so
+    both tiers produce identical output.
     """
     nv = h.num_vertices
     if max_cluster_weight is None:
@@ -243,20 +139,7 @@ def match_vertices(
     cfixed: list[int] = []
     order = rng.permutation(nv)
 
-    if kernel == "jit":
-        from repro.partitioner.fm_jit import match_jit as matcher
-    elif kernel == "flat":
-        # adaptive: the scalar loop with per-vertex batching of dense
-        # scoring expansions.  Whole-chunk batch scoring
-        # (:func:`_match_chunked`) measures slower than this on every
-        # overlap regime benched so far — the sort-based merge of
-        # duplicate candidate pairs eats the vectorization win (the
-        # 0.94x forced-batch regression in BENCH_kernels.json) — so the
-        # flat tier only batches where batching provably pays: single
-        # vertices whose expansion clears _VERTEX_VECTOR_MIN.
-        matcher = _match_scalar
-    else:
-        matcher = _match_reference
+    matcher = _match_scalar if kernel == "flat" else _match_reference
     rec = get_recorder()
     with rec.span(
         "coarsen.match",
@@ -285,8 +168,15 @@ def _dense_candidates(
     net_score: np.ndarray,
 ) -> list[int]:
     """Batched scoring of one vertex: candidates in descending-score order
-    (first-encounter order on ties), matching the scalar loop's float
-    accumulation exactly (see :func:`_chunk_candidates` for the argument).
+    (first-encounter order on ties), matching the scalar loop exactly.
+
+    Equivalence with the scalar scoring loop: nets expand in ascending id
+    order and pins in storage order, candidates keep their first-encounter
+    order, and per-candidate scores accumulate strictly left-to-right in
+    that order (``np.bincount`` adds weights sequentially over its input),
+    so float sums and every downstream tie-break are bit-identical.  The
+    scalar loop keeps the first strictly greater score among feasible
+    candidates, so "first feasible in this order" selects the same one.
     """
     ns = h.vnets[h.xnets[v] : h.xnets[v + 1]]
     ns = ns[valid[ns]]
@@ -474,93 +364,13 @@ def _match_reference(
 ) -> int:
     """The ``python`` tier: the pure per-pin reference loop, no batching.
 
-    This is the differential-testing oracle the flat/jit tiers are
+    This is the differential-testing oracle the flat tier is
     measured against; it trades speed on dense instances for one
     obviously-sequential interpreted loop."""
     return _match_scalar(
         h, order, part_l, w, fix, cluster, cweight, cfixed,
         hcm, max_net_size, max_cluster_weight, dense_ok=False,
     )
-
-
-def _match_chunked(
-    h: Hypergraph,
-    order: np.ndarray,
-    part_l: list[int] | None,
-    w: list[int],
-    fix: list[int] | None,
-    cluster: list[int],
-    cweight: list[int],
-    cfixed: list[int],
-    hcm: bool,
-    max_net_size: int,
-    max_cluster_weight: int,
-) -> int:
-    """Vectorized matching: batched scoring, scalar greedy selection."""
-    nv = h.num_vertices
-    pins_visited = 0
-    sizes, valid, net_score, expand = _score_aux(h, max_net_size)
-
-    # the expansion estimate cuts the permutation into roughly equal-work
-    # chunks (pins behind scoring-eligible nets)
-    work = np.cumsum(expand[order])
-    lo = 0
-    while lo < nv:
-        hi = int(np.searchsorted(work, work[lo] + _SCORE_BUDGET, side="right"))
-        hi = max(hi, lo + 1)
-        raw = order[lo:hi]
-        lo = hi
-        # vertices already clustered by an earlier chunk are skipped before
-        # scoring; ones absorbed mid-chunk are skipped at selection below
-        chunk = raw[[cluster[int(v)] == -1 for v in raw]]
-        if len(chunk) == 0:
-            continue
-        offs_a, cand_a, ptot_a = _chunk_candidates(
-            chunk, nv, h.xnets, h.vnets, h.xpins, h.pins, valid, sizes, net_score
-        )
-        offs = offs_a.tolist()
-        cand = cand_a.tolist()
-        ptot = ptot_a.tolist()
-        for j, v in enumerate(chunk.tolist()):
-            if cluster[v] != -1:
-                continue
-            fv = fix[v] if fix is not None else -1
-            pins_visited += ptot[j]
-            best_u = -1
-            wv = w[v]
-            pv = part_l[v] if part_l is not None else -1
-            # candidates arrive score-descending: first feasible one wins
-            for i in range(offs[j], offs[j + 1]):
-                u = cand[i]
-                if part_l is not None and part_l[u] != pv:
-                    continue  # restricted (V-cycle) coarsening: stay in-part
-                cu = cluster[u]
-                if hcm and cu != -1:
-                    continue  # pure matching never grows a cluster
-                tw = (cweight[cu] if cu != -1 else w[u]) + wv
-                if tw > max_cluster_weight:
-                    continue
-                fu = cfixed[cu] if cu != -1 else (fix[u] if fix is not None else -1)
-                if fv != -1 and fu != -1 and fu != fv:
-                    continue
-                best_u = u
-                break
-            if best_u == -1:
-                cluster[v] = len(cweight)
-                cweight.append(wv)
-                cfixed.append(fv)
-            else:
-                cu = cluster[best_u]
-                if cu == -1:
-                    cu = len(cweight)
-                    cweight.append(w[best_u])
-                    cfixed.append(fix[best_u] if fix is not None else -1)
-                    cluster[best_u] = cu
-                cluster[v] = cu
-                cweight[cu] += wv
-                if fv != -1:
-                    cfixed[cu] = fv
-    return pins_visited
 
 
 def _build_reference(
@@ -789,9 +599,7 @@ def coarsen_level(
     part: np.ndarray | None = None,
 ) -> tuple[Hypergraph, np.ndarray, np.ndarray | None]:
     """One coarsening step; returns ``(coarse_h, cmap, coarse_fixed)``."""
-    from repro.partitioner.kernels import resolve_kernel
-
-    kern = resolve_kernel(getattr(cfg, "kernel", "python"))
+    kern = cfg.kernel
     cmap, nc, cfix = match_vertices(
         h,
         rng,
@@ -880,9 +688,7 @@ def coarsen_restricted(
             if cur.num_vertices <= cfg.coarsen_to:
                 break
             with rec.span("coarsen.level", level=depth) as lsp:
-                from repro.partitioner.kernels import resolve_kernel
-
-                kern = resolve_kernel(getattr(cfg, "kernel", "python"))
+                kern = cfg.kernel
                 cmap, nc, cfix = match_vertices(
                     cur,
                     rng,

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field, fields, replace
 
 __all__ = ["ModelConfig", "ExecutionPolicy", "PartitionerConfig", "KERNELS"]
 
-#: the kernel tiers of the refinement/matching hot path, in fallback
-#: order (``resolve_kernel`` walks right from the requested tier until
-#: one is available; see :mod:`repro.partitioner.kernels`)
-KERNELS = ("jit", "flat", "python")
+#: the implementation tiers of the V-cycle hot loops: the production
+#: ``flat`` tier and the ``python`` reference oracle (see
+#: :mod:`repro.partitioner.kernels`)
+KERNELS = ("flat", "python")
 
 
 def _env_bool(name: str, fallback: bool) -> bool:
@@ -153,8 +153,10 @@ class ModelConfig:
             raise ValueError(f"unknown matching scheme {self.matching!r}")
         if self.coarsen_to < 2:
             raise ValueError("coarsen_to must be at least 2")
-        if self.n_initial_starts < 1 or self.n_runs < 1:
-            raise ValueError("n_initial_starts and n_runs must be >= 1")
+        if self.n_initial_starts < 1:
+            raise ValueError("n_initial_starts must be >= 1")
+        if self.n_runs < 1:
+            raise ValueError("n_runs must be >= 1")
         if self.initial_method not in ("ghg", "exact"):
             raise ValueError(
                 f"unknown initial_method {self.initial_method!r}; "
@@ -167,7 +169,7 @@ class ModelConfig:
         if self.n_vcycles < 0:
             raise ValueError("n_vcycles must be >= 0")
         if self.n_starts < 1:
-            raise ValueError("n_starts and n_workers must be >= 1")
+            raise ValueError("n_starts must be >= 1")
 
     def with_(self, **kwargs) -> "ModelConfig":
         """Return a copy with the given fields replaced."""
@@ -242,12 +244,12 @@ class ExecutionPolicy:
     #: (see :func:`repro.partitioner.resilience.backoff_delay`).
     #: Env-overridable default: ``REPRO_BACKOFF_BASE``.
     backoff_base: float = field(
-        default_factory=lambda: _env_float("REPRO_BACKOFF_BASE", 0.05) or 0.05
+        default_factory=lambda: _env_float("REPRO_BACKOFF_BASE", 0.05)
     )
     #: upper bound on a single backoff delay in seconds.
     #: Env-overridable default: ``REPRO_BACKOFF_CAP``.
     backoff_cap: float = field(
-        default_factory=lambda: _env_float("REPRO_BACKOFF_CAP", 2.0) or 2.0
+        default_factory=lambda: _env_float("REPRO_BACKOFF_CAP", 2.0)
     )
     #: wall-clock budget in seconds for one multi-start engine call
     #: (``None`` = unlimited).  Graceful degradation, never an exception:
@@ -275,32 +277,29 @@ class ExecutionPolicy:
     #: seconds between heartbeat writes of a supervised worker.
     #: Env-overridable default: ``REPRO_HEARTBEAT_INTERVAL``.
     heartbeat_interval: float = field(
-        default_factory=lambda: _env_float("REPRO_HEARTBEAT_INTERVAL", 0.25) or 0.25
+        default_factory=lambda: _env_float("REPRO_HEARTBEAT_INTERVAL", 0.25)
     )
     #: a supervised worker whose newest heartbeat (or task dispatch) is
     #: older than this many seconds while a start is in flight is presumed
     #: hung: it is killed, respawned and its seed re-queued.
     #: Env-overridable default: ``REPRO_HEARTBEAT_TIMEOUT``.
     heartbeat_timeout: float = field(
-        default_factory=lambda: _env_float("REPRO_HEARTBEAT_TIMEOUT", 30.0) or 30.0
+        default_factory=lambda: _env_float("REPRO_HEARTBEAT_TIMEOUT", 30.0)
     )
     #: implementation tier of the V-cycle hot loops (FM refinement,
     #: matching, coarse build, initial bisection, k-way refinement):
+    #: "flat" (the production tier — adaptive numpy kernels behind
+    #: measured size gates so it never loses to the reference) or
     #: "python" (the pure-Python reference loops — the differential
-    #: oracle, no batching), "flat" (adaptive numpy tier: vectorized
-    #: kernels behind measured size gates so it never loses to the
-    #: reference), "jit" (numba-compiled move loop, requires numba), or
-    #: "auto" (best available tier — the default).  Every tier is
-    #: bit-identical — the verify subsystem's replay matrix asserts it —
-    #: so this is execution policy, not model.  A requested tier that is
-    #: unavailable falls back ``jit -> flat -> python``
-    #: (see :func:`repro.partitioner.kernels.resolve_kernel`).
+    #: oracle, no batching).  Both tiers are bit-identical — the verify
+    #: subsystem's replay matrix asserts it — so this is execution
+    #: policy, not model (see :mod:`repro.partitioner.kernels`).
     #: Env-overridable default: ``REPRO_KERNEL``.
-    kernel: str = field(default_factory=lambda: _env_str("REPRO_KERNEL", "auto"))
+    kernel: str = field(default_factory=lambda: _env_str("REPRO_KERNEL", "flat"))
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
-            raise ValueError("n_starts and n_workers must be >= 1")
+            raise ValueError("n_workers must be >= 1")
         if self.start_backend not in ("auto", "process", "thread", "serial"):
             raise ValueError(f"unknown start_backend {self.start_backend!r}")
         if self.spawn_depth < 0:
@@ -321,10 +320,9 @@ class ExecutionPolicy:
             raise ValueError(
                 "heartbeat_interval and heartbeat_timeout must be positive"
             )
-        if self.kernel not in ("auto",) + KERNELS:
+        if self.kernel not in KERNELS:
             raise ValueError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {('auto',) + KERNELS}"
+                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
             )
 
     def with_(self, **kwargs) -> "ExecutionPolicy":

@@ -438,11 +438,11 @@ class FlatMoveEngine:
     """Array-resident FM state plus the vectorized move kernel.
 
     Factored out of the pass loop so the inner loop is drivable on its
-    own: :func:`fm_pass_flat` runs selection over it, and the
-    ``repro-bench kernels`` inner-loop microbenchmark scripts identical
-    move sequences through this engine and through the python reference
+    own: :func:`fm_pass_flat` runs selection over it, and the kernel
+    tests script identical move sequences through this engine and
+    through the python reference
     (:meth:`FMCore.apply_move <repro.partitioner.refine.FMCore.apply_move>`)
-    to time the move kernel without the shared vectorized pass setup.
+    to check the move kernel without the shared vectorized pass setup.
 
     The caller owns the buckets (a ``(side0, side1)`` pair of
     :class:`FlatGainBucket` sharing :attr:`G`) and the selection policy;

@@ -111,7 +111,7 @@ def ghg_bisection(
 ) -> np.ndarray:
     """Greedy hypergraph growing: grow part 0 up to ``target0`` weight.
 
-    Above :data:`_GHG_VECTOR_MIN` pins the flat/jit tiers race the two
+    Above :data:`_GHG_VECTOR_MIN` pins the flat tier races the two
     bit-identical implementations (see
     :func:`~repro.partitioner.kernels.race_pick`): initial bisection
     runs many starts on the same coarsest hypergraph, so the first two
@@ -122,7 +122,7 @@ def ghg_bisection(
     from repro.partitioner.kernels import race_pick
 
     rng = as_rng(rng)
-    if kernel in ("flat", "jit") and h.num_pins >= _GHG_VECTOR_MIN:
+    if kernel == "flat" and h.num_pins >= _GHG_VECTOR_MIN:
         race = h._view(
             "ghg.tier_race", lambda: {"flat": [0.0, 0], "python": [0.0, 0]}
         )
@@ -234,13 +234,11 @@ def initial_bisection(
     favor of the heuristic loop below.  The exact attempt consumes no
     RNG, so the fallback is bit-identical to ``initial_method="ghg"``.
     """
-    from repro.partitioner.kernels import resolve_kernel
-
     rng = as_rng(rng)
     best_part: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
     w = h.vertex_weights
-    kern = resolve_kernel(getattr(cfg, "kernel", "python"))
+    kern = cfg.kernel
     rec = get_recorder()
     if (
         cfg.initial_method == "exact"

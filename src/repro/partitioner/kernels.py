@@ -1,50 +1,30 @@
 """Kernel tiers of the refinement/matching hot path.
 
-The FM inner loop and the HCM/HCC matching loop exist in up to three
-implementations — *tiers* — selected through the ``kernel`` axis of
+The V-cycle hot loops (FM refinement, matching, coarse build, initial
+bisection, K-way refinement) exist in two implementations — *tiers* —
+selected through the ``kernel`` axis of
 :class:`~repro.partitioner.config.ExecutionPolicy`:
 
+``flat``
+    The production tier (the default): flat numpy array buckets with
+    lazy deletion and per-net vectorized gain updates
+    (:mod:`~repro.partitioner.fm_flat`), plus batched matching, coarse
+    build, GHG and K-way kernels.  Each phase routes small inputs to the
+    scalar loop behind measured size gates, so it never loses to the
+    reference.
 ``python``
     The pure-Python reference (:class:`~repro.partitioner.gainbucket.GainBucket`
-    + the per-pin loops in :mod:`~repro.partitioner.refine`).  Always
-    available; the differential-replay baseline every other tier is
-    measured against.
-``flat``
-    Flat numpy array buckets with lazy deletion and per-net vectorized
-    gain updates (:mod:`~repro.partitioner.fm_flat`).  Always available
-    (numpy is a hard dependency); the big win on instances with large
-    nets, where the python tier's per-pin loops dominate.
-``jit``
-    The flat-array move loop compiled with numba
-    (:mod:`~repro.partitioner.fm_jit`).  Available only when numba is
-    importable; ``import repro`` never requires it.
+    + the per-pin loops in :mod:`~repro.partitioner.refine`).  Kept as
+    the oracle the differential-replay harness (:mod:`repro.verify.replay`)
+    and the phase-parity tests compare the flat tier against.
 
-Every tier produces bit-identical partitions — the replay matrix in
-:mod:`repro.verify.replay` asserts it across the kernel universe — so
-the kernel is pure execution policy and never participates in
-:func:`repro.fingerprint`.
-
-A requested tier that is unavailable degrades gracefully along
-``jit -> flat -> python`` (:func:`resolve_kernel`); ``"auto"`` asks for
-the best available tier.  :func:`kernel_info` (exported as
-``repro.kernels()``) reports each tier's availability and, when a tier
-is unavailable, why.
+Both tiers produce bit-identical partitions, so the kernel is pure
+execution policy and never participates in :func:`repro.fingerprint`.
 """
 
 from __future__ import annotations
 
-from repro.partitioner.config import KERNELS
-
-__all__ = [
-    "KERNELS",
-    "PHASES",
-    "RACE_MIN_EVENTS",
-    "kernel_available",
-    "kernel_info",
-    "phase_kernels",
-    "race_pick",
-    "resolve_kernel",
-]
+__all__ = ["RACE_MIN_EVENTS", "race_pick"]
 
 #: a race probe must log at least this many move events before its
 #: per-event rate counts as evidence; tiny converged passes stay probes
@@ -73,108 +53,3 @@ def race_pick(race: dict[str, list[float]]) -> str:
     rf = race["flat"][0] / race["flat"][1]
     rp = race["python"][0] / race["python"][1]
     return "flat" if rf <= rp else "python"
-
-#: V-cycle phases with tiered implementations (see the phase modules:
-#: refine/fm_flat/fm_jit, coarsen, initial, kway)
-PHASES = ("fm", "matching", "coarse_build", "initial", "kway")
-
-#: phases with a numba implementation; the rest run their flat tier when
-#: ``jit`` is requested
-_JIT_PHASES = frozenset({"fm", "matching"})
-
-# probe results, cached process-wide: tier -> (available, reason)
-_PROBES: dict[str, tuple[bool, str | None]] = {}
-
-
-def _probe(tier: str) -> tuple[bool, str | None]:
-    if tier == "python":
-        return True, None
-    if tier == "flat":
-        return True, None
-    if tier == "jit":
-        try:
-            from repro.partitioner import fm_jit
-        except Exception as exc:  # pragma: no cover - import-time failure
-            return False, f"jit tier failed to import: {exc!r}"
-        if fm_jit.NUMBA_AVAILABLE:
-            return True, None
-        return False, f"numba is not installed ({fm_jit.NUMBA_ERROR})"
-    return False, f"unknown kernel tier {tier!r}"
-
-
-def kernel_available(tier: str) -> bool:
-    """Whether one kernel tier can run in this process."""
-    if tier not in _PROBES:
-        _PROBES[tier] = _probe(tier)
-    return _PROBES[tier][0]
-
-
-def kernel_info() -> dict:
-    """Availability report for every kernel tier (``repro.kernels()``).
-
-    Returns a dict with one entry per tier in fallback order::
-
-        {"jit":    {"available": False, "reason": "numba is not installed ..."},
-         "flat":   {"available": True,  "reason": None},
-         "python": {"available": True,  "reason": None}}
-
-    plus ``"fallback_order"`` and ``"default"`` (the process-wide default
-    tier after the environment/``ExecutionPolicy`` resolution).
-    """
-    from repro.partitioner.config import ExecutionPolicy
-
-    tiers = {}
-    for tier in KERNELS:
-        avail = kernel_available(tier)
-        tiers[tier] = {"available": avail, "reason": _PROBES[tier][1]}
-    requested = ExecutionPolicy().kernel  # honors REPRO_KERNEL
-    return {
-        **tiers,
-        "fallback_order": list(KERNELS),
-        "default": resolve_kernel(requested),
-        "phases": phase_kernels(requested),
-    }
-
-
-def phase_kernels(requested: str = "auto") -> dict:
-    """The tier each V-cycle phase runs under a requested kernel.
-
-    Phases without a numba implementation run their flat tier when
-    ``jit`` resolves.  Flat phase kernels additionally size-gate
-    individual calls (small inputs take the scalar loop because it
-    measures faster — see docs/performance.md), so this reports tier
-    *routing*, not a per-call trace.
-    """
-    d = resolve_kernel(requested)
-    no_jit = "flat" if d == "jit" else d
-    return {p: (d if p in _JIT_PHASES else no_jit) for p in PHASES}
-
-
-def resolve_kernel(requested: str) -> str:
-    """Map a requested tier to the tier that will actually run.
-
-    ``"auto"`` picks the best available tier; an explicit tier that is
-    unavailable falls back along ``jit -> flat -> python`` (counted as
-    ``kernel.fallbacks`` telemetry so silent degradation is visible in
-    traces).  The return value is always an available tier.
-    """
-    if requested == "auto":
-        for tier in KERNELS:
-            if kernel_available(tier):
-                return tier
-        return "python"  # unreachable: python always probes available
-    if requested not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {requested!r}; expected one of "
-            f"{('auto',) + tuple(KERNELS)}"
-        )
-    if kernel_available(requested):
-        return requested
-    from repro.telemetry import get_recorder
-
-    start = KERNELS.index(requested)
-    for tier in KERNELS[start + 1:]:
-        if kernel_available(tier):
-            get_recorder().add("kernel.fallbacks", 1)
-            return tier
-    return "python"

@@ -207,8 +207,6 @@ def kway_refine(
     Only strictly positive-gain, balance-preserving moves are applied, so
     the cutsize never increases and Eq. 1 feasibility is preserved.
     """
-    from repro.partitioner.kernels import resolve_kernel
-
     rng = as_rng(rng)
     part = np.asarray(part, dtype=INDEX_DTYPE).copy()
     nv, nn = h.num_vertices, h.num_nets
@@ -232,7 +230,7 @@ def kway_refine(
     if fixed is not None:
         free &= fixed < 0
 
-    kern = resolve_kernel(getattr(cfg, "kernel", "python"))
+    kern = cfg.kernel
     rec = get_recorder()
     with rec.span(
         "kway", k=k, vertices=nv, nets=h.num_nets, pins=h.num_pins,

@@ -24,11 +24,7 @@ from repro._util import INDEX_DTYPE, as_rng
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.gainbucket import GainBucket
-from repro.partitioner.kernels import (
-    RACE_MIN_EVENTS,
-    race_pick,
-    resolve_kernel,
-)
+from repro.partitioner.kernels import RACE_MIN_EVENTS, race_pick
 from repro.telemetry import get_recorder
 
 __all__ = ["FMCore", "fm_refine_bisection"]
@@ -235,17 +231,14 @@ def fm_refine_bisection(
     maxw = (int(max_weights[0]), int(max_weights[1]))
     cut = core.cut()
 
-    kern = resolve_kernel(getattr(cfg, "kernel", "python"))
+    kern = cfg.kernel
     race = None
-    pass_fn = None
     if kern == "flat" and h.num_pins >= _FM_FLAT_MIN_PINS:
         from repro.partitioner.fm_flat import fm_pass_flat
 
         race = h._view(
             "fm.tier_race", lambda: {"flat": [0.0, 0], "python": [0.0, 0]}
         )
-    elif kern == "jit":
-        from repro.partitioner.fm_jit import fm_pass_jit as pass_fn
 
     rec = get_recorder()
     with rec.span(
@@ -271,8 +264,6 @@ def fm_refine_bisection(
                     st = race[tier]
                     st[0] += dt
                     st[1] += ev
-            elif pass_fn is not None:
-                gain, moved = pass_fn(core, maxw, cfg, rng)
             else:
                 gain, moved = _fm_pass(core, maxw, cfg, rng, cut)
             cut -= gain

@@ -2,10 +2,9 @@
 
 PRs 2–3 added three orthogonal execution knobs — the multi-start backend
 (serial/thread/process), the tree-parallel recursion, and the shm
-transport — and PR 7 added a fourth, the refinement/matching kernel tier
-(python/flat/jit) — each promising not to change a single output bit.
-This module
-replays one ``decompose()`` call across the whole grid and diffs the
+transport — and PR 7 added a fourth, the V-cycle kernel tier
+(python/flat) — each promising not to change a single output bit.
+This module replays one ``decompose()`` call across the whole grid and diffs the
 results stage by stage, reporting the *first* divergent stage per variant:
 
 1. ``bisection_cuts`` — the per-bisection cut sequence (depth-first order),
@@ -164,15 +163,14 @@ def default_variants() -> list[ReplayVariant]:
 
     ``shm`` only matters for the process backend, so the pickle/shm pair is
     enumerated there only; the serial variant of each universe is the
-    reference the others are diffed against.  The kernel tiers (flat, jit)
-    ride on the serial backend of each universe — they promise the same
-    bits as the python reference, and an unavailable tier falls back
-    (jit -> flat -> python), which must itself be bit-identical.  The
-    kernel axis now spans every V-cycle phase (matching, coarse build,
-    initial GHG, FM, K-way), so the serial+flat variant exercises all of
-    them at once; a separate ``+kway`` universe turns on the K-way
-    boundary refinement pass (which legitimately changes the partition)
-    and diffs its flat sweep against a python+kway reference.
+    reference the others are diffed against.  The production ``flat``
+    kernel tier rides on the serial backend of each universe — it
+    promises the same bits as the python reference.  The kernel axis
+    spans every V-cycle phase (matching, coarse build, initial GHG, FM,
+    K-way), so the serial+flat variant exercises all of them at once; a
+    separate ``+kway`` universe turns on the K-way boundary refinement
+    pass (which legitimately changes the partition) and diffs its flat
+    sweep against a python+kway reference.
     """
     out: list[ReplayVariant] = []
     for tree in (False, True):
@@ -181,24 +179,19 @@ def default_variants() -> list[ReplayVariant]:
         out.append(ReplayVariant(f"thread{suffix}", "thread", False, tree))
         out.append(ReplayVariant(f"process{suffix}", "process", False, tree))
         out.append(ReplayVariant(f"process+shm{suffix}", "process", True, tree))
-        for kern in ("flat", "jit"):
-            out.append(
-                ReplayVariant(
-                    f"serial+{kern}{suffix}", "serial", False, tree, kernel=kern
-                )
-            )
-    # the K-way universe: legacy serial only — one reference plus the
-    # non-reference tiers driving the K-way flat sweep
+        out.append(
+            ReplayVariant(f"serial+flat{suffix}", "serial", False, tree, kernel="flat")
+        )
+    # the K-way universe: legacy serial only — the python reference plus
+    # the flat tier driving the K-way flat sweep
     out.append(
         ReplayVariant("serial+kway", "serial", False, False, kway=True)
     )
-    for kern in ("flat", "jit"):
-        out.append(
-            ReplayVariant(
-                f"serial+{kern}+kway", "serial", False, False,
-                kernel=kern, kway=True,
-            )
+    out.append(
+        ReplayVariant(
+            "serial+flat+kway", "serial", False, False, kernel="flat", kway=True
         )
+    )
     return out
 
 

@@ -72,7 +72,7 @@ def test_with_routes_flat_fields():
     assert cfg2.execution.kernel == "flat"
     # originals untouched (immutability)
     assert cfg.model.epsilon == 0.03
-    assert cfg.execution.kernel in ("auto",) + KERNELS
+    assert cfg.execution.kernel in KERNELS
     with pytest.raises(TypeError, match="unknown config fields"):
         cfg.with_(bogus=1)
 
@@ -138,7 +138,7 @@ def test_fingerprint_invariant_under_execution_policy():
     variants = [
         PartitionerConfig(n_workers=8),
         PartitionerConfig(kernel="flat"),
-        PartitionerConfig(kernel="auto"),
+        PartitionerConfig(kernel="python"),
         PartitionerConfig(max_retries=3, deadline=60.0),
         PartitionerConfig(start_backend="serial", shm_transport=False),
         PartitionerConfig(checkpoint_path="/tmp/ckpt.json"),
@@ -183,3 +183,33 @@ def test_sub_configs_expose_with_():
     assert m.epsilon == 0.2
     e = ExecutionPolicy().with_(kernel="flat")
     assert e.kernel == "flat"
+
+
+@pytest.mark.parametrize(
+    "cls,name",
+    [
+        (ModelConfig, "n_starts"),
+        (ModelConfig, "n_runs"),
+        (ModelConfig, "n_initial_starts"),
+        (ExecutionPolicy, "n_workers"),
+    ],
+)
+def test_count_errors_name_only_their_own_field(cls, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        cls(**{name: 0})
+
+
+def test_env_zero_backoff_is_kept_and_zero_heartbeat_rejected(monkeypatch):
+    """An environment value of 0 reaches the field unchanged: a zero
+    backoff is valid and kept, a zero heartbeat is invalid and raises —
+    neither is swapped for the default."""
+    monkeypatch.setenv("REPRO_BACKOFF_BASE", "0")
+    monkeypatch.setenv("REPRO_BACKOFF_CAP", "0")
+    policy = ExecutionPolicy()
+    assert policy.backoff_base == 0.0
+    assert policy.backoff_cap == 0.0
+    for name in ("REPRO_HEARTBEAT_INTERVAL", "REPRO_HEARTBEAT_TIMEOUT"):
+        monkeypatch.setenv(name, "0")
+        with pytest.raises(ValueError, match="heartbeat"):
+            ExecutionPolicy()
+        monkeypatch.delenv(name)

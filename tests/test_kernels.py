@@ -1,13 +1,13 @@
-"""Kernel-tier contract tests: bit-identity, fallback, introspection.
+"""Kernel-tier contract tests: bit-identity and the narrowed axis.
 
-The ``kernel`` axis (``python | flat | jit``) promises that every tier
-produces bit-identical partitions.  This suite pins that promise three
-ways: golden replay under each tier (same bits as the pre-kernel
-recordings), a hypothesis equivalence harness driving
-:class:`FlatGainBucket` against the reference :class:`GainBucket`, and a
-scripted-move equivalence of :class:`FlatMoveEngine` against
-``FMCore.apply_move``.  The jit tier is exercised interpreted (numba
-absent) by force-probing it available — same code path, no compilation.
+The ``kernel`` axis (``flat | python``) promises that the production
+``flat`` tier produces partitions bit-identical to the ``python``
+reference.  This suite pins that promise three ways: golden replay under
+the flat tier (same bits as the pre-kernel recordings), a hypothesis
+equivalence harness driving :class:`FlatGainBucket` against the
+reference :class:`GainBucket`, and a scripted-move equivalence of
+:class:`FlatMoveEngine` against ``FMCore.apply_move``.  It also checks
+that every entry point rejects tier names outside ``flat``/``python``.
 """
 
 from __future__ import annotations
@@ -23,45 +23,35 @@ from repro._util import as_rng
 from repro.core.api import decompose
 from repro.matrix.collection import load_collection_matrix
 from repro.partitioner import PartitionerConfig, partition_hypergraph
-from repro.partitioner import kernels as K
-from repro.partitioner.config import KERNELS, ExecutionPolicy
+from repro.partitioner.config import ExecutionPolicy
 from repro.partitioner.fm_flat import FlatGainBucket, FlatMoveEngine
 from repro.partitioner.gainbucket import GainBucket
 from repro.telemetry import TelemetryRecorder, use_recorder
 
 
-@pytest.fixture
-def forced_jit(monkeypatch):
-    """Probe the jit tier available: without numba its kernels run
-    interpreted — same code, same bits, no compilation."""
-    monkeypatch.setitem(K._PROBES, "jit", (True, None))
-    yield
-    # monkeypatch.setitem restores the previous entry on teardown
-
-
 # ----------------------------------------------------------------------
 # golden replay across the kernel universe
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", ["flat", "jit"])
+@pytest.mark.parametrize("kernel", ["flat"])
 @pytest.mark.parametrize("k", [2, 8])
-def test_golden_hypergraph_partitions_per_kernel(kernel, k, forced_jit):
-    """Non-reference tiers replay the pre-kernel goldens bit for bit."""
+def test_golden_hypergraph_partitions_per_kernel(kernel, k):
+    """The flat tier replays the pre-kernel goldens bit for bit."""
     h = random_hypergraph(as_rng(1), 120, 90)
     cfg = PartitionerConfig(tree_parallel=False, kernel=kernel)
     res = partition_hypergraph(h, k, config=cfg, seed=0)
     check_golden(f"hg-120x90-s1-k{k}-seed0", res.part, res.cutsize)
 
 
-@pytest.mark.parametrize("kernel", ["flat", "jit"])
-def test_golden_matrix_decomposition_per_kernel(kernel, forced_jit):
+@pytest.mark.parametrize("kernel", ["flat"])
+def test_golden_matrix_decomposition_per_kernel(kernel):
     a = load_collection_matrix("sherman3", scale=0.25)
     cfg = PartitionerConfig(tree_parallel=False, kernel=kernel)
     res = decompose(a, 8, method="finegrain", config=cfg, seed=0)
     check_golden(f"sherman3-finegrain-k8-seed0", res.part, res.cutsize)
 
 
-@pytest.mark.parametrize("kernel", ["flat", "jit"])
-def test_tiers_match_python_on_fresh_instances(kernel, forced_jit):
+@pytest.mark.parametrize("kernel", ["flat"])
+def test_tiers_match_python_on_fresh_instances(kernel):
     """Beyond the goldens: fresh random instances, python vs tier."""
     for hseed, seed, k in [(5, 3, 2), (9, 1, 4)]:
         h = random_hypergraph(as_rng(hseed), 180, 140, weighted=True)
@@ -231,70 +221,9 @@ def test_flat_move_engine_matches_reference_moves():
 
 
 # ----------------------------------------------------------------------
-# resolution, fallback, introspection, defaults
+# the narrowed axis: flat (production) and python (reference) only
 # ----------------------------------------------------------------------
-def test_kernels_introspection_shape():
-    import repro
-
-    info = repro.kernels()
-    assert info["fallback_order"] == list(KERNELS)
-    assert info["default"] in KERNELS
-    for tier in KERNELS:
-        assert set(info[tier]) == {"available", "reason"}
-        if info[tier]["available"]:
-            assert info[tier]["reason"] is None
-        else:
-            assert info[tier]["reason"]
-    assert info["python"]["available"]
-    assert info["flat"]["available"]
-
-
-def test_resolve_kernel_explicit_and_auto():
-    assert K.resolve_kernel("python") == "python"
-    assert K.resolve_kernel("flat") == "flat"
-    best = K.resolve_kernel("auto")
-    assert best in KERNELS
-    # auto picks the leftmost available tier of the fallback order
-    for tier in KERNELS:
-        if K.kernel_available(tier):
-            assert best == tier
-            break
-
-
-def test_resolve_kernel_unknown_raises():
-    with pytest.raises(ValueError, match="unknown kernel"):
-        K.resolve_kernel("cuda")
-    with pytest.raises(ValueError, match="unknown kernel"):
-        ExecutionPolicy(kernel="cuda")
-
-
-def test_unavailable_tier_falls_back_with_telemetry(monkeypatch):
-    monkeypatch.setitem(K._PROBES, "jit", (False, "forced unavailable"))
-    rec = TelemetryRecorder()
-    with use_recorder(rec):
-        assert K.resolve_kernel("jit") == "flat"
-    assert rec.counter_totals().get("kernel.fallbacks") == 1
-
-
-def test_import_repro_without_numba_is_clean():
-    """``import repro`` and the python/flat tiers never require numba."""
-    import repro
-
-    assert hasattr(repro, "kernels")
-    # the jit probe reports rather than raises when numba is missing
-    info = repro.kernels()
-    if not info["jit"]["available"]:
-        assert "numba" in info["jit"]["reason"]
-
-
-def test_repro_kernel_env_default(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "flat")
-    assert ExecutionPolicy().kernel == "flat"
-    monkeypatch.delenv("REPRO_KERNEL")
-    assert ExecutionPolicy().kernel == "auto"
-
-
-def test_decompose_kernel_kwarg_routes(forced_jit):
+def _kernel_matrix():
     import scipy.sparse as sp
 
     a = sp.random(
@@ -302,8 +231,48 @@ def test_decompose_kernel_kwarg_routes(forced_jit):
         random_state=np.random.RandomState(4), format="csr",
     )
     a.data[:] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("entry", ["policy", "decompose", "cli"])
+@pytest.mark.parametrize("tier", ["jit", "auto"])
+def test_removed_tiers_are_rejected(entry, tier, capsys):
+    """``jit`` and ``auto`` are gone from every entry point, and the
+    rejection names the two tiers that remain."""
+    if entry == "policy":
+        with pytest.raises(ValueError, match="flat.*python"):
+            ExecutionPolicy(kernel=tier)
+    elif entry == "decompose":
+        with pytest.raises(ValueError, match="flat.*python"):
+            decompose(_kernel_matrix(), 4, method="finegrain", kernel=tier)
+    else:
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "collection:sherman3@0.05", "-k", "4",
+                  "--kernel", tier])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "flat" in err and "python" in err
+
+
+def test_resolve_kernel_unknown_raises():
+    with pytest.raises(ValueError, match="unknown kernel"):
+        ExecutionPolicy(kernel="cuda")
+
+
+def test_repro_kernel_env_default(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", "python")
+    assert ExecutionPolicy().kernel == "python"
+    monkeypatch.delenv("REPRO_KERNEL")
+    assert ExecutionPolicy().kernel == "flat"
+
+
+def test_decompose_kernel_kwarg_routes():
+    a = _kernel_matrix()
     base = decompose(a, 4, method="finegrain", seed=2)
-    for kernel in ("python", "flat", "jit", "auto"):
+    for kernel in ("python", "flat"):
         r = decompose(a, 4, method="finegrain", seed=2, kernel=kernel)
         assert r.cutsize == base.cutsize
         assert np.array_equal(r.part, base.part)

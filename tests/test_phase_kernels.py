@@ -368,19 +368,3 @@ def test_partition_run_records_arena_counters(monkeypatch):
     totals = rec.counter_totals()
     assert totals.get("arena.allocs", 0) > 0
     assert totals.get("arena.reuses", 0) > 0
-
-
-# ----------------------------------------------------------------------
-# introspection: the kernel axis spans every phase
-# ----------------------------------------------------------------------
-def test_kernels_introspection_lists_all_phases():
-    import repro
-
-    info = repro.kernels()
-    assert set(info["phases"]) == {
-        "fm", "matching", "coarse_build", "initial", "kway"
-    }
-    # under the flat tier every phase routes flat
-    assert set(K.phase_kernels("flat").values()) == {"flat"}
-    # the reference tier never silently upgrades
-    assert set(K.phase_kernels("python").values()) == {"python"}
