@@ -96,6 +96,69 @@ def _score_aux(
     return h._view(f"score_aux_{max_net_size}", make)
 
 
+def _max_degree(h: Hypergraph) -> int:
+    """Largest vertex degree of *h*, cached."""
+    return h._view(
+        "max_degree",
+        lambda: int(np.diff(h.xnets).max()) if h.num_vertices else 0,
+    )
+
+
+def _is_degree2(h: Hypergraph) -> bool:
+    """Whether every matching candidate of *h* is reached through one net.
+
+    True when no vertex has degree > 2 and no two degree-2 vertices lie on
+    the same pair of nets — the shape of a fine-grain model, where vertex
+    ``a_ij`` lies on row net ``m_i`` and column net ``n_j`` only.  Two
+    distinct vertices then share at most one net, which is what makes
+    :func:`_match_degree2` exact.  Cached on *h*, so the restricted
+    (V-cycle) calls on the same level reuse it.
+    """
+
+    def make() -> bool:
+        if _max_degree(h) > 2:
+            return False
+        two = h.xnets[:-1][np.diff(h.xnets) == 2]
+        a = h.vnets[two].astype(np.int64)
+        b = h.vnets[two + 1].astype(np.int64)
+        key = np.minimum(a, b) * h.num_nets + np.maximum(a, b)
+        return len(np.unique(key)) == len(key)
+
+    return h._view("degree2", make)
+
+
+def _degree2_nets(h: Hypergraph, max_net_size: int) -> tuple[list[int], list[int]]:
+    """Per vertex of a degree ≤ 2 hypergraph, its scoring-eligible nets in
+    the order the scalar loop would prefer their candidates.
+
+    Returns ``(first, second)`` with ``-1`` for "no net".  A net is
+    eligible when ``2 <= |n| <= max_net_size`` and its score is positive
+    (a zero-cost net never beats the scalar loop's ``best_s = 0.0``).  The
+    score is the float :func:`_match_scalar` accumulates, ``c_n /
+    (|n| - 1)``; the nets are ordered by it, descending, and on a tie by
+    their position in ``vnets``.  Cached on *h* per net-size cap.
+    """
+
+    def make() -> tuple[list[int], list[int]]:
+        sizes = np.diff(h.xpins)
+        # index -1 (padding) stands for "no net": ineligible, score 0
+        score = np.r_[h.net_costs / np.maximum(sizes - 1, 1), 0.0]
+        ok = np.r_[(sizes >= 2) & (sizes <= max_net_size), False] & (score > 0)
+        vn = np.r_[h.vnets, -1, -1]
+        deg = np.diff(h.xnets)
+        a = np.where(deg >= 1, vn[h.xnets[:-1]], -1)
+        b = np.where(deg == 2, vn[h.xnets[:-1] + 1], -1)
+        a = np.where(ok[a], a, -1)
+        b = np.where(ok[b], b, -1)
+        # strictly greater: a tie keeps vnets order.  A lone eligible b
+        # swaps in too (score[-1] is 0), so "first" is -1 only when
+        # both are
+        swap = score[b] > score[a]
+        return np.where(swap, b, a).tolist(), np.where(swap, a, b).tolist()
+
+    return h._view(f"degree2_nets_{max_net_size}", make)
+
+
 def match_vertices(
     h: Hypergraph,
     rng: np.random.Generator,
@@ -104,7 +167,7 @@ def match_vertices(
     max_cluster_weight: int | None = None,
     fixed: np.ndarray | None = None,
     part: np.ndarray | None = None,
-    kernel: str = "python",
+    kernel: str = "flat",
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """Cluster vertices; returns ``(cmap, n_clusters, coarse_fixed)``.
 
@@ -119,11 +182,16 @@ def match_vertices(
     *kernel* picks the implementation tier (see
     :mod:`repro.partitioner.kernels`): ``"python"`` is the pure reference
     loop (the differential-testing oracle — one interpreted comparison
-    per pin, no batching); ``"flat"`` runs the scalar loop with
-    one-vertex batching of dense scoring expansions
-    (:data:`_VERTEX_VECTOR_MIN`).  The greedy selection always stays
-    sequential, preserving the classic HCM/HCC semantics bit for bit, so
-    both tiers produce identical output.
+    per pin, no batching).  ``"flat"`` routes on the structure of *h*:
+    when every candidate is reached through a single net
+    (:func:`_is_degree2` — level 0 of a fine-grain model, and its
+    restricted re-coarsening) it takes the early-exit
+    :func:`_match_degree2`, otherwise the scalar loop with one-vertex
+    batching of dense scoring expansions (:data:`_VERTEX_VECTOR_MIN`).
+    The greedy selection always stays sequential, preserving the classic
+    HCM/HCC semantics bit for bit, so every route produces identical
+    output.  The ``coarsen.match`` span records the route taken
+    (``degree2``, ``scalar`` or ``reference``).
     """
     nv = h.num_vertices
     if max_cluster_weight is None:
@@ -139,7 +207,6 @@ def match_vertices(
     cfixed: list[int] = []
     order = rng.permutation(nv)
 
-    matcher = _match_scalar if kernel == "flat" else _match_reference
     rec = get_recorder()
     with rec.span(
         "coarsen.match",
@@ -147,7 +214,14 @@ def match_vertices(
         nets=h.num_nets,
         pins=h.num_pins,
         kernel=kernel,
-    ):
+    ) as sp:
+        if kernel != "flat":
+            matcher, route = _match_reference, "reference"
+        elif _is_degree2(h):
+            matcher, route = _match_degree2, "degree2"
+        else:
+            matcher, route = _match_scalar, "scalar"
+        sp.set(route=route)
         pins_visited = matcher(
             h, order, part_l, w, fix, cluster, cweight, cfixed,
             hcm, max_net_size, max_cluster_weight,
@@ -231,14 +305,11 @@ def _match_scalar(
     dense_aux = None
     if dense_ok and h.num_pins >= _DENSE_AUX_MIN:
         # cheap upper bound on any vertex's scoring expansion: no vertex
-        # can expand past max_degree * largest eligible net.  Fine-grain
-        # levels (degree <= 2, nets capped at max_net_size) can never
-        # reach _VERTEX_VECTOR_MIN, so they skip the _score_aux setup
-        # entirely instead of paying O(pins) for a path that never fires.
-        max_deg = h._view(
-            "max_degree",
-            lambda: int(np.diff(h.xnets).max()) if h.num_vertices else 0,
-        )
+        # can expand past max_degree * largest eligible net.  Low-degree
+        # levels with capped nets can never reach _VERTEX_VECTOR_MIN, so
+        # they skip the _score_aux setup entirely instead of paying
+        # O(pins) for a path that never fires.
+        max_deg = _max_degree(h)
         max_sz = h._view(
             "max_net_size",
             lambda: int(np.diff(h.xpins).max()) if h.num_nets else 0,
@@ -291,7 +362,7 @@ def _match_scalar(
                 lo, hi = xpins[n], xpins[n + 1]
                 sz = hi - lo
                 if sz == 2 <= max_net_size:
-                    # dominant case in fine-grain models: the one other pin
+                    # 2-pin net: the one other pin, score c_n undivided
                     pins_visited += 2
                     u = pins[lo]
                     if u == v:
@@ -331,6 +402,87 @@ def _match_scalar(
                 if fv != -1 and fu != -1 and fu != fv:
                     continue
                 best_u, best_s = u, s
+        if best_u == -1:
+            cluster[v] = len(cweight)
+            cweight.append(wv)
+            cfixed.append(fv)
+        else:
+            cu = cluster[best_u]
+            if cu == -1:
+                cu = len(cweight)
+                cweight.append(w[best_u])
+                cfixed.append(fix[best_u] if fix is not None else -1)
+                cluster[best_u] = cu
+            cluster[v] = cu
+            cweight[cu] += wv
+            if fv != -1:
+                cfixed[cu] = fv
+    return pins_visited
+
+
+def _match_degree2(
+    h: Hypergraph,
+    order: np.ndarray,
+    part_l: list[int] | None,
+    w: list[int],
+    fix: list[int] | None,
+    cluster: list[int],
+    cweight: list[int],
+    cfixed: list[int],
+    hcm: bool,
+    max_net_size: int,
+    max_cluster_weight: int,
+) -> int:
+    """Early-exit matching for hypergraphs where :func:`_is_degree2` holds.
+
+    Every candidate ``u`` of ``v`` is then reached through exactly one
+    net, so its accumulated score in :func:`_match_scalar` is that net's
+    score alone, and all candidates of one net tie.  The scalar loop
+    keeps the first feasible candidate with a strictly greater score, in
+    ``touched`` order (nets in ``vnets`` order, pins in storage order);
+    its winner is therefore the first feasible pin ``u != v``, in storage
+    order, of the nets taken in :func:`_degree2_nets` order.  No scores
+    are accumulated, and the search stops at that pin: the returned
+    count is the pins examined up to and including the winner.
+    """
+    first, second = _degree2_nets(h, max_net_size)
+    xpins = h.xpins_list()
+    pins = h.pins_list()
+    pins_visited = 0
+
+    for v in order.tolist():
+        if cluster[v] != -1:
+            continue
+        fv = fix[v] if fix is not None else -1
+        wv = w[v]
+        pv = part_l[v] if part_l is not None else -1
+        best_u = -1
+        for n in (first[v], second[v]):
+            if n == -1:
+                break
+            for u in pins[xpins[n] : xpins[n + 1]]:
+                if u == v:
+                    continue
+                pins_visited += 1
+                if part_l is not None and part_l[u] != pv:
+                    continue  # restricted (V-cycle) coarsening: stay in-part
+                cu = cluster[u]
+                if hcm and cu != -1:
+                    continue  # pure matching never grows a cluster
+                tw = (cweight[cu] if cu != -1 else w[u]) + wv
+                if tw > max_cluster_weight:
+                    continue
+                fu = (
+                    cfixed[cu]
+                    if cu != -1
+                    else (fix[u] if fix is not None else -1)
+                )
+                if fv != -1 and fu != -1 and fu != fv:
+                    continue
+                best_u = u
+                break
+            if best_u != -1:
+                break
         if best_u == -1:
             cluster[v] = len(cweight)
             cweight.append(wv)

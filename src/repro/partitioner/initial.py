@@ -107,7 +107,7 @@ def ghg_bisection(
     max0: int,
     rng: np.random.Generator | int | None = None,
     fixed: np.ndarray | None = None,
-    kernel: str = "python",
+    kernel: str = "flat",
 ) -> np.ndarray:
     """Greedy hypergraph growing: grow part 0 up to ``target0`` weight.
 

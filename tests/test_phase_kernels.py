@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import random_hypergraph
 from repro._util import as_rng
+from repro.core.finegrain import build_finegrain_model
+from repro.hypergraph import Hypergraph, hypergraph_from_netlists
 from repro.partitioner import PartitionerConfig
 from repro.partitioner import coarsen as C
 from repro.partitioner import initial as I
@@ -157,6 +160,125 @@ def test_match_restricted_and_fixed_flat_matches_reference():
         r_flat = C.match_vertices(h, as_rng(5), kernel="flat", **kw)
         assert np.array_equal(r_ref[0], r_flat[0])
         assert np.array_equal(r_ref[2], r_flat[2])
+
+
+# ----------------------------------------------------------------------
+# matching on degree <= 2 levels: the early-exit route == reference
+# ----------------------------------------------------------------------
+def _finegrain_hypergraph(seed: int, n: int = 40, cost_max: int = 3):
+    """Fine-grain model of a random square matrix with some empty diagonal
+    entries (so zero-weight dummy vertices occur), re-wrapped with random
+    net costs that include 0."""
+    rng = as_rng(seed)
+    a = sp.random(n, n, density=0.08, random_state=seed, format="lil")
+    for i in rng.choice(n, size=n // 2, replace=False).tolist():
+        a[i, i] = 1.0
+    h = build_finegrain_model(a.tocsr()).hypergraph
+    return Hypergraph(
+        h.num_vertices, h.xpins, h.pins,
+        vertex_weights=h.vertex_weights,
+        net_costs=rng.integers(0, cost_max + 1, size=h.num_nets),
+    )
+
+
+def _match_routes(h, **kw) -> tuple[tuple, list[str]]:
+    """``match_vertices`` output plus the route of every coarsen.match span."""
+    with use_recorder(TelemetryRecorder()) as rec:
+        out = C.match_vertices(h, **kw)
+    routes = [s.attrs["route"] for r in rec.roots for s in r.find("coarsen.match")]
+    return out, routes
+
+
+def _assert_same_matching(r_ref, r_flat):
+    assert np.array_equal(r_ref[0], r_flat[0])
+    assert r_ref[1] == r_flat[1]
+    assert np.array_equal(r_ref[2], r_flat[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hseed=st.integers(0, 2**16), mseed=st.integers(0, 2**16),
+       hcm=st.booleans(), with_fixed=st.booleans(), with_part=st.booleans(),
+       max_net_size=st.sampled_from([1, 2, 3, 300]),
+       max_cluster_weight=st.sampled_from([None, 1, 2, 3]))
+def test_match_degree2_route_matches_reference_hypothesis(
+    hseed, mseed, hcm, with_fixed, with_part, max_net_size, max_cluster_weight
+):
+    h = _finegrain_hypergraph(hseed)
+    rng = as_rng(mseed)
+    kw = {
+        "scheme": "hcm" if hcm else "hcc",
+        "max_net_size": max_net_size,
+        "max_cluster_weight": max_cluster_weight,
+    }
+    if with_fixed:
+        fixed = np.full(h.num_vertices, -1, dtype=np.int64)
+        some = rng.choice(h.num_vertices, size=h.num_vertices // 5, replace=False)
+        fixed[some] = rng.integers(0, 2, size=len(some))
+        kw["fixed"] = fixed
+    if with_part:
+        kw["part"] = rng.integers(0, 2, size=h.num_vertices)
+    r_ref, ref_routes = _match_routes(h, rng=as_rng(mseed), kernel="python", **kw)
+    r_flat, routes = _match_routes(h, rng=as_rng(mseed), kernel="flat", **kw)
+    assert ref_routes == ["reference"]
+    assert routes == ["degree2"]
+    _assert_same_matching(r_ref, r_flat)
+
+
+def test_finegrain_level0_takes_degree2_route_and_caches_it():
+    h = _finegrain_hypergraph(1, n=60)
+    part = as_rng(2).integers(0, 2, size=h.num_vertices)
+    for kw in ({}, {"part": part}, {"part": part}):
+        _, routes = _match_routes(h, rng=as_rng(0), kernel="flat", **kw)
+        assert routes == ["degree2"]
+    # one structural check and one net-order view serve every call
+    assert h._views["degree2"] is True
+    assert "degree2_nets_300" in h._views
+
+
+def test_shared_net_pair_takes_scalar_route():
+    """Degree <= 2 but vertices repeat a (net, net) pair: a candidate can
+    then score through two nets, so the early exit would be inexact."""
+    rng = as_rng(4)
+    nv, nn = 120, 12
+    netlists = [[] for _ in range(nn)]
+    for v in range(nv):
+        for n in rng.choice(nn, size=int(rng.integers(1, 3)), replace=False):
+            netlists[n].append(v)
+    h = hypergraph_from_netlists(nv, netlists,
+                                 net_costs=rng.integers(0, 4, size=nn))
+    assert int(np.diff(h.xnets).max()) <= 2 and not C._is_degree2(h)
+    for scheme in ("hcm", "hcc"):
+        r_ref, _ = _match_routes(h, rng=as_rng(3), scheme=scheme, kernel="python")
+        r_flat, routes = _match_routes(h, rng=as_rng(3), scheme=scheme,
+                                       kernel="flat")
+        assert routes == ["scalar"]
+        _assert_same_matching(r_ref, r_flat)
+
+
+def test_degree3_vertex_takes_scalar_route():
+    fg = _finegrain_hypergraph(5)
+    nets = [fg.pins_of(n).tolist() for n in range(fg.num_nets)]
+    extra = fg.num_vertices
+    for n in (0, 1, fg.num_nets - 1):
+        nets[n].append(extra)
+    h = hypergraph_from_netlists(extra + 1, nets, net_costs=fg.net_costs)
+    assert not C._is_degree2(h)
+    r_ref, _ = _match_routes(h, rng=as_rng(6), kernel="python")
+    r_flat, routes = _match_routes(h, rng=as_rng(6), kernel="flat")
+    assert routes == ["scalar"]
+    _assert_same_matching(r_ref, r_flat)
+
+
+def test_python_kernel_never_takes_degree2_route(monkeypatch):
+    h = _finegrain_hypergraph(7)
+    calls = []
+    orig = C._match_degree2
+    monkeypatch.setattr(C, "_match_degree2",
+                        lambda *a: calls.append(1) or orig(*a))
+    _, routes = _match_routes(h, rng=as_rng(0), kernel="python")
+    assert routes == ["reference"] and not calls
+    _match_routes(h, rng=as_rng(0), kernel="flat")
+    assert calls == [1]
 
 
 # ----------------------------------------------------------------------

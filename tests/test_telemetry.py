@@ -285,6 +285,8 @@ class TestPipelineIntegration:
             "bisection",
             "coarsen",
             "coarsen.level",
+            "coarsen.match",
+            "coarsen.build",
             "initial",
             "refine.fm",
             "uncoarsen",
